@@ -14,8 +14,8 @@
 // Both paths do the same end-to-end work on the table 1 workload —
 // parse FASTQ, map, emit SAM — and their outputs are byte-compared
 // (the run fails if they ever diverge). The monolithic path is
-// examples/map_fastq's shape: read everything, one map() call, one
-// emit pass. The streaming path is the repute CLI's shape: chunked
+// `repute map --monolithic`'s shape: read everything, one map() call,
+// one emit pass. The streaming path is the repute CLI's shape: chunked
 // parsing, --threads mapper workers, ordered emission, all overlapped
 // through bounded queues. The difference is real host wall clock, so
 // the win scales with available cores (parse/map/emit overlap); on a

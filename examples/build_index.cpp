@@ -2,7 +2,6 @@
 // it to disk (binary), so repeated mapping runs skip construction.
 //
 //   build_index --reference ref.fa --out ref.fmi [--sa-sample 4]
-//   map_fastq   --reference ref.fa --index ref.fmi --reads r.fastq ...
 //
 // Without --reference a demo genome is generated, indexed, saved,
 // reloaded and sanity-checked, so the example runs standalone.

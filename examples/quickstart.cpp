@@ -24,7 +24,7 @@ using namespace repute;
 int main(int argc, char** argv) {
     const util::Args args(argc, argv);
 
-    // 1. A reference genome. (Real FASTA input: see examples/map_fastq.)
+    // 1. A reference genome. (Real FASTA input: `repute map --ref`.)
     genomics::GenomeSimConfig gconfig;
     gconfig.length =
         static_cast<std::size_t>(args.get_int("genome", 1'000'000));

@@ -12,6 +12,21 @@
 
 namespace repute::core {
 
+std::vector<std::size_t> proportional_split(
+    std::size_t total, std::span<const double> fractions) {
+    std::vector<std::size_t> counts;
+    counts.reserve(fractions.size());
+    std::size_t assigned = 0;
+    for (std::size_t i = 0; i + 1 < fractions.size(); ++i) {
+        const auto count = static_cast<std::size_t>(
+            static_cast<double>(total) * fractions[i]);
+        counts.push_back(count);
+        assigned += count;
+    }
+    counts.push_back(total - assigned);
+    return counts;
+}
+
 double ScheduleStats::makespan_seconds() const noexcept {
     double makespan = 0.0;
     for (const DeviceScheduleStats& d : per_device) {
@@ -54,17 +69,10 @@ std::vector<ChunkRecord> ChunkScheduler::plan(
     std::vector<ChunkRecord> chunks;
     if (total_items == 0) return chunks;
 
-    // Contiguous per-device ranges proportional to the warm start (the
-    // same arithmetic as the static split, so the two modes cover the
-    // read set identically and differ only in commitment).
-    std::vector<std::size_t> counts(devices_.size(), 0);
-    std::size_t assigned = 0;
-    for (std::size_t d = 0; d + 1 < devices_.size(); ++d) {
-        counts[d] = static_cast<std::size_t>(
-            static_cast<double>(total_items) * warm_start_[d]);
-        assigned += counts[d];
-    }
-    counts.back() = total_items - assigned;
+    // Contiguous per-device ranges proportional to the warm start, so
+    // the two modes cover the read set identically and differ only in
+    // commitment.
+    const auto counts = proportional_split(total_items, warm_start_);
 
     const std::size_t cap = config_.max_chunk_items == 0
                                 ? total_items

@@ -33,12 +33,21 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "ocl/device.hpp"
 
 namespace repute::core {
+
+/// Splits `total` items into contiguous per-share counts proportional
+/// to `fractions` (normalized, non-empty): each share but the last gets
+/// floor(total * fraction) and the last takes the remainder. The static
+/// split and the scheduler's warm-start plan both use it, so the two
+/// schedules cover the read set identically.
+std::vector<std::size_t> proportional_split(std::size_t total,
+                                            std::span<const double> fractions);
 
 struct SchedulerConfig {
     /// Fixed chunk size override; 0 = plan from the warm-start shares:

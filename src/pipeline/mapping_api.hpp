@@ -31,7 +31,6 @@
 
 #include "core/paired.hpp"
 #include "core/repute_mapper.hpp"
-#include "core/sharded_mapper.hpp"
 #include "genomics/multi_reference.hpp"
 #include "index/fm_index.hpp"
 #include "index/rix.hpp"

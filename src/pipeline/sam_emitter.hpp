@@ -4,7 +4,7 @@
 // One SamEmitter owns an output stream for the duration of a run:
 // write_header() once, then emit() per mapped batch, in order. The
 // record formatting is the single source of truth shared by the
-// streaming CLI and the monolithic map_fastq path, which is what makes
+// streaming CLI and the monolithic (`--monolithic`) path, which makes
 // "streaming output is byte-identical to monolithic output" a testable
 // property rather than a hope.
 //

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <map>
 #include <sstream>
@@ -556,8 +558,8 @@ TEST(ServeMixed, SocketAndOneShotAgreeOnHeterogeneousLengths) {
         genomics::MultiReference(std::move(genome)), sconfig);
 
     serve::ServerConfig server_config;
-    server_config.socket_path =
-        testing::TempDir() + "repute_test_mixed.sock";
+    server_config.socket_path = testing::TempDir() + "repute_test_mixed_" +
+                                std::to_string(::getpid()) + ".sock";
     server_config.handlers = 2;
     serve::Server server(*session, server_config);
     std::thread server_thread([&] { server.run(); });

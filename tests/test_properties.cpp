@@ -158,7 +158,9 @@ TEST_P(VerifierAgreement, AllThreeVerifiersAgreeOnAcceptance) {
         EXPECT_EQ(myers, full);
         // The banded verifier agrees on the accept/reject decision.
         EXPECT_EQ(banded <= delta, full <= delta);
-        if (full <= delta) EXPECT_EQ(banded, full);
+        if (full <= delta) {
+            EXPECT_EQ(banded, full);
+        }
     }
 }
 

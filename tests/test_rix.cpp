@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -61,7 +63,8 @@ std::string map_all(pipeline::MappingSession& session,
 }
 
 std::string temp_rix_path(const std::string& tag) {
-    return testing::TempDir() + "repute_test_" + tag + ".rix";
+    return testing::TempDir() + "repute_test_" + tag + "_" +
+           std::to_string(::getpid()) + ".rix";
 }
 
 std::string slurp(const std::string& path) {
@@ -241,7 +244,9 @@ ShardedFixture write_valid_sharded(const std::string& tag) {
     config.plan.shard_count = 2;
     config.plan.overlap = 64;
     const auto built = index::build_sharded_index(
-        multi, testing::TempDir() + "repute_test_" + tag + ".rixm",
+        multi,
+        testing::TempDir() + "repute_test_" + tag + "_" +
+            std::to_string(::getpid()) + ".rixm",
         config);
     return {built.manifest_path, built.shard_paths};
 }

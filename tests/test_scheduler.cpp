@@ -94,6 +94,24 @@ TEST(ChunkPlan, PartitionsTheBatchExactly) {
     EXPECT_EQ(expect_begin, 10'000u);
 }
 
+TEST(ChunkPlan, OwnerRangesFollowTheStaticSplit) {
+    // The warm-start plan and the static split share one split
+    // function, so each owner's chunks cover exactly its static slice.
+    Device a(profile("a", 4, 1e6)), b(profile("b", 4, 1e6)),
+        c(profile("c", 4, 1e6));
+    const std::vector<double> fractions{0.5, 0.3, 0.2};
+    ChunkScheduler scheduler({&a, &b, &c}, fractions, SchedulerConfig{});
+    const auto counts = repute::core::proportional_split(9'999, fractions);
+    ASSERT_EQ(counts.size(), 3u);
+    EXPECT_EQ(counts[0] + counts[1] + counts[2], 9'999u);
+    EXPECT_EQ(counts[0], 4'999u); // floor(9999 * 0.5)
+    std::vector<std::size_t> owned(3, 0);
+    for (const ChunkRecord& chunk : scheduler.plan(9'999)) {
+        owned[chunk.owner] += chunk.count;
+    }
+    EXPECT_EQ(owned, counts);
+}
+
 TEST(ChunkPlan, HonoursFixedChunkSizeAndCap) {
     Device a(profile("a", 4, 1e6));
     SchedulerConfig config;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <sstream>
 #include <string>
 #include <thread>
@@ -70,8 +72,9 @@ protected:
             genomics::MultiReference(std::move(genome)), sconfig);
 
         serve::ServerConfig server_config;
-        server_config.socket_path =
-            testing::TempDir() + "repute_test_serve.sock";
+        server_config.socket_path = testing::TempDir() +
+                                    "repute_test_serve_" +
+                                    std::to_string(::getpid()) + ".sock";
         server_config.handlers = 2;
         server_ = std::make_unique<serve::Server>(*session_,
                                                   server_config);
